@@ -1,6 +1,6 @@
 //! Saturation benchmark: N producer threads driving all shards of the
-//! memory service flat out, ring transport vs. the batched
-//! `PinnedPool` baseline, with per-request latency histograms.
+//! memory service flat out through the ring transport, measured against
+//! a single-thread `Stack` floor, with per-request latency histograms.
 //!
 //! Three workloads, each run on both engines:
 //!
@@ -13,31 +13,30 @@
 //! * `flush_heavy` — writes with a `Flush` broadcast closing every
 //!   batch over persistent stacks (broadcast-coordination stress).
 //!
-//! The ring engine gives each producer thread its own [`ServiceClient`]
-//! lane (`submit_batch_into` streams tickets up to the window, no
-//! cross-producer locks); per-request latency comes from the service's
-//! own completion-path telemetry. The baseline engine is
-//! [`BatchService`] behind a `Mutex` — the pre-ring architecture:
-//! producers serialize on the service lock and every batch pays the
-//! whole-batch barrier; latency is the batch round-trip attributed to
-//! each of its requests.
+//! The ring engine gives each producer thread its own
+//! [`pmck_service::ServiceClient`] lane (tickets stream up to the
+//! window, no cross-producer locks); per-request latency comes from the
+//! service's own completion-path telemetry. The floor engine is one
+//! [`Stack`] holding every shard's blocks, driven on the calling thread:
+//! the producers' request streams run one after another through
+//! `Stack::submit`, with no transport at all, and latency is each
+//! request's submit-to-return time.
 //!
 //! Output is one JSON document with ops/s, p50/p99/p999 (ns), and the
-//! ring:baseline speedup per workload. `--short` shrinks the run for CI
-//! and asserts sanity (nonzero throughput, p50 ≤ p99 ≤ p999).
+//! ring:floor speedup per workload. `--short` shrinks the run for CI
+//! and asserts sanity (nonzero throughput, p50 ≤ p99 ≤ p999) on both
+//! engines.
 //!
 //! ```text
 //! saturate [--shards N] [--producers N] [--batch N] [--rounds N]
 //!          [--short] [--pretty]
 //! ```
 
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use pmck_core::{ChipkillConfig, PmemConfig, Request, Stack, StackBuilder};
+use pmck_core::{ChipkillConfig, PmemConfig, Request, Stack, StackBuilder, Submitter};
 use pmck_rt::metrics::Histogram;
 use pmck_rt::rng::{stream_seed, Rng, StdRng};
-use pmck_service::baseline::BatchService;
 use pmck_service::ShardedService;
 
 #[derive(Clone, Copy)]
@@ -185,18 +184,14 @@ impl EngineResult {
     }
 }
 
-/// Prefills every block with a seeded pattern through any submit_batch
-/// shaped closure.
-fn prefill(total: u64, mut submit: impl FnMut(&[Request]) -> Vec<Request>) {
+/// Prefills every block with a seeded pattern through any transport.
+fn prefill(total: u64, svc: &mut impl Submitter) {
     let mut rng = StdRng::seed_from_u64(0x5EED);
-    let writes: Vec<Request> = (0..total)
-        .map(|a| {
-            let mut data = [0u8; 64];
-            rng.fill_bytes(&mut data[..]);
-            Request::Write { addr: a, data }
-        })
-        .collect();
-    let _ = submit(&writes);
+    for addr in 0..total {
+        let mut data = [0u8; 64];
+        rng.fill_bytes(&mut data[..]);
+        svc.submit(&Request::Write { addr, data }).expect("prefill");
+    }
 }
 
 fn run_ring(cfg: Config, wl: Workload, seed: u64) -> EngineResult {
@@ -204,21 +199,7 @@ fn run_ring(cfg: Config, wl: Workload, seed: u64) -> EngineResult {
         wl.build_stack(cfg.blocks_per_shard, s)
     });
     let total = svc.num_blocks();
-    {
-        let mut out = Vec::new();
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        let writes: Vec<Request> = (0..total)
-            .map(|a| {
-                let mut data = [0u8; 64];
-                rng.fill_bytes(&mut data[..]);
-                Request::Write { addr: a, data }
-            })
-            .collect();
-        svc.submit_batch_into(&writes, &mut out);
-        for r in out.drain(..) {
-            r.expect("prefill");
-        }
-    }
+    prefill(total, &mut svc);
     if wl.rber() > 0.0 {
         for s in 0..cfg.shards {
             svc.with_shard(s, |stack| stack.inject_bit_errors(wl.rber()))
@@ -305,69 +286,34 @@ fn run_ring(cfg: Config, wl: Workload, seed: u64) -> EngineResult {
     }
 }
 
-fn run_baseline(cfg: Config, wl: Workload, seed: u64) -> EngineResult {
-    let mut svc = BatchService::new(cfg.shards, seed, |_, s| {
-        wl.build_stack(cfg.blocks_per_shard, s)
-    });
-    let total = svc.num_blocks();
-    prefill(total, |reqs| {
-        for r in svc.submit_batch(reqs) {
-            r.expect("prefill");
-        }
-        Vec::new()
-    });
+fn run_floor(cfg: Config, wl: Workload, seed: u64) -> EngineResult {
+    let mut stack = wl.build_stack(cfg.shards as u64 * cfg.blocks_per_shard, seed);
+    let total = stack.num_blocks();
+    prefill(total, &mut stack);
     if wl.rber() > 0.0 {
-        for s in 0..cfg.shards {
-            svc.with_shard(s, |stack| stack.inject_bit_errors(wl.rber()))
-                .expect("inject");
-        }
+        stack.inject_bit_errors(wl.rber()).expect("inject");
     }
-    let svc = Arc::new(Mutex::new(svc));
 
     let start = Instant::now();
-    let handles: Vec<_> = (0..cfg.producers)
-        .map(|p| {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(stream_seed(seed ^ 0xCAFE, p as u64));
-                let mut batch = Vec::with_capacity(cfg.batch + 1);
-                let mut out = Vec::with_capacity(cfg.batch + 1);
-                let mut hist = Histogram::new();
-                let mut ops = 0u64;
-                for _ in 0..cfg.rounds {
-                    wl.gen_batch(&mut rng, total, cfg.batch, &mut batch);
-                    let t0 = Instant::now();
-                    {
-                        let mut svc = svc.lock().expect("service lock");
-                        svc.submit_batch_into(&batch, &mut out);
-                    }
-                    let batch_ns = t0.elapsed().as_nanos() as u64;
-                    for r in &out {
-                        r.as_ref().expect("benign workload");
-                    }
-                    // Every request in the batch waited for the whole
-                    // barrier: the batch round-trip IS its latency.
-                    for _ in 0..out.len() {
-                        hist.record(batch_ns);
-                    }
-                    ops += out.len() as u64;
-                }
-                (ops, hist)
-            })
-        })
-        .collect();
-    let mut ops = 0u64;
+    let mut batch = Vec::with_capacity(cfg.batch + 1);
     let mut latency = Histogram::new();
-    for h in handles {
-        let (n, hist) = h.join().expect("producer thread");
-        ops += n;
-        latency.merge(&hist);
+    let mut ops = 0u64;
+    // The same per-producer streams as the ring, run one after another.
+    for p in 0..cfg.producers {
+        let mut rng = StdRng::seed_from_u64(stream_seed(seed ^ 0xCAFE, p as u64));
+        for _ in 0..cfg.rounds {
+            wl.gen_batch(&mut rng, total, cfg.batch, &mut batch);
+            for req in &batch {
+                let t0 = Instant::now();
+                stack.submit(req).expect("benign workload");
+                latency.record(t0.elapsed().as_nanos() as u64);
+                ops += 1;
+            }
+        }
     }
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    svc.lock().expect("service lock").shutdown();
     EngineResult {
         ops,
-        elapsed_ns,
+        elapsed_ns: start.elapsed().as_nanos() as u64,
         latency,
         dropped_samples: 0,
     }
@@ -384,17 +330,17 @@ fn main() {
         };
         eprintln!("saturate: {} (ring)...", wl.name());
         let ring = run_ring(cfg, wl, seed);
-        eprintln!("saturate: {} (baseline)...", wl.name());
-        let base = run_baseline(cfg, wl, seed);
-        let speedup = ring.ops_per_s() / base.ops_per_s();
+        eprintln!("saturate: {} (floor)...", wl.name());
+        let floor = run_floor(cfg, wl, seed);
+        let speedup = ring.ops_per_s() / floor.ops_per_s();
         eprintln!(
-            "saturate: {:<12} ring {:>10.0} ops/s  baseline {:>10.0} ops/s  ({speedup:.2}x)",
+            "saturate: {:<12} ring {:>10.0} ops/s  floor {:>10.0} ops/s  ({speedup:.2}x)",
             wl.name(),
             ring.ops_per_s(),
-            base.ops_per_s(),
+            floor.ops_per_s(),
         );
         if cfg.short {
-            for (engine, r) in [("ring", &ring), ("baseline", &base)] {
+            for (engine, r) in [("ring", &ring), ("floor", &floor)] {
                 assert!(
                     r.ops > 0 && r.ops_per_s() > 0.0,
                     "{engine}/{}: zero throughput",
@@ -421,7 +367,7 @@ fn main() {
             pmck_rt::json::Json::object()
                 .with("workload", wl.name())
                 .with("ring", ring.to_json())
-                .with("baseline", base.to_json())
+                .with("floor", floor.to_json())
                 .with("speedup", speedup),
         );
     }

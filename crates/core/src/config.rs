@@ -8,7 +8,7 @@ use crate::layout::{ChipkillLayout, ProtectionTier};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipkillConfig {
     /// The protection tier the rank runs at; resolves to one of the
-    /// [`Layout`] implementations. `layout`/`threshold` must agree with
+    /// [`Layout`](crate::Layout) implementations. `layout`/`threshold` must agree with
     /// it — use [`ChipkillConfig::for_tier`] to derive all three.
     pub tier: ProtectionTier,
     /// Rank/ECC geometry.
@@ -49,7 +49,7 @@ impl ChipkillConfig {
     }
 
     /// The configuration for a protection tier: geometry and threshold
-    /// both come from the tier's [`Layout`], everything else stays at
+    /// both come from the tier's [`Layout`](crate::Layout), everything else stays at
     /// the defaults.
     pub fn for_tier(tier: ProtectionTier) -> Self {
         let layout = tier.layout();

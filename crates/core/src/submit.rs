@@ -1,12 +1,11 @@
 //! The transport-generic submission surface.
 //!
-//! The workspace grew three client entry points — [`crate::Stack`]'s
-//! synchronous `submit`, `pmck-service`'s streaming ticket plane, and
-//! the legacy batched `BatchService` — with the same [`Request`] /
-//! [`Response`] vocabulary but three different call shapes. [`Submitter`]
-//! unifies them: one trait with a synchronous `submit` and a
-//! `try_submit`/`poll` ticket surface, implemented by every transport
-//! (`Stack`, `ShardedService`, `ServiceClient`, `BatchService`, and
+//! The workspace has two client entry points — [`crate::Stack`]'s
+//! synchronous `submit` and `pmck-service`'s streaming ticket plane —
+//! with the same [`Request`] / [`Response`] vocabulary but different
+//! call shapes. [`Submitter`] unifies them: one trait with a synchronous
+//! `submit` and a `try_submit`/`poll` ticket surface, implemented by
+//! every transport (`Stack`, `ShardedService`, `ServiceClient`, and
 //! `pmck-cluster`'s `Cluster` nodes), so layered code — the cluster tier
 //! above all — is written once against the trait instead of once per
 //! transport.
@@ -17,9 +16,9 @@
 //!   primary lane): `try_submit` enqueues onto a shard ring and may
 //!   report retryable [`crate::ServiceFailure::Backpressure`]; `poll`
 //!   claims the response once the worker finished it.
-//! * **Eager** (`Stack`, `BatchService`, `Cluster`): the request executes
-//!   inside `try_submit` and the ticket is immediately redeemable. The
-//!   shared [`EagerTickets`] helper provides the bookkeeping, so eager
+//! * **Eager** (`Stack`, `Cluster`): the request executes inside
+//!   `try_submit` and the ticket is immediately redeemable. The shared
+//!   [`EagerTickets`] helper provides the bookkeeping, so eager
 //!   transports get the full ticket surface for free and generic callers
 //!   never need to know which camp they are talking to.
 

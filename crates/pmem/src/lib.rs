@@ -8,7 +8,8 @@
 //!   here first and is *volatile*: a power cut discards it.
 //! * **durable** — what the NVRAM cells actually hold. Only
 //!   [`PersistentMedia::fence`] moves bytes here, and only for lines
-//!   that were first [`PersistentMedia::flush`]ed.
+//!   that were first flushed ([`PersistentMedia::flush_range`],
+//!   [`PersistentMedia::flush_all`]).
 //!
 //! The protocol is modeled on the virtio-pmem asynchronous flush
 //! command: *"Data written to this memory is made persistent by

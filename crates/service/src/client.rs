@@ -576,7 +576,7 @@ fn backpressure() -> CoreError {
 }
 
 /// Whether an error is retryable admission-control backpressure.
-pub(crate) fn is_backpressure(e: &CoreError) -> bool {
+fn is_backpressure(e: &CoreError) -> bool {
     matches!(e, CoreError::Service(se) if se.kind() == ServiceFailure::Backpressure)
 }
 

@@ -32,10 +32,6 @@
 //! telemetry ring; [`ShardedService::publish_metrics`] folds the
 //! samples into per-shard HDR histograms (p50/p99/p999).
 //!
-//! The batched `PinnedPool` transport survives as
-//! [`baseline::BatchService`] — the measuring stick the `saturate`
-//! bench compares against.
-//!
 //! # Determinism
 //!
 //! Results are independent of thread scheduling: shard `s` is seeded
@@ -80,12 +76,9 @@ use pmck_rt::pool::ShardPool;
 use pmck_rt::ring::{mpsc, MpscConsumer};
 use pmck_rt::rng::stream_seed;
 
-pub mod baseline;
 mod client;
-mod future;
 
 pub use client::{ServiceClient, Ticket};
-pub use future::{block_on, SubmitFuture};
 
 use client::{Comp, Job, LatencySample, BROADCAST_SHARD, SUBMIT_DEPTH, TICKET_WINDOW};
 
@@ -443,7 +436,7 @@ impl std::fmt::Debug for ShardedService {
 
 // The broadcast fold moved into pmck-core (`pmck_core::merge_broadcast`)
 // so the cluster tier can merge node answers with the same
-// order-sensitive rules; re-imported here for the client and baseline.
+// order-sensitive rules; re-imported here for the client.
 pub(crate) use pmck_core::merge_broadcast;
 
 #[cfg(test)]
@@ -464,6 +457,8 @@ mod tests {
     fn interleaved_round_trip_across_shards() {
         let mut svc = svc(4, 32, 1);
         assert_eq!(svc.num_blocks(), 128);
+        assert_eq!(svc.route(5), Some((1, 1)));
+        assert_eq!(svc.route(128), None);
         let writes: Vec<Request> = (0..128u64)
             .map(|a| Request::Write {
                 addr: a,
@@ -713,7 +708,10 @@ mod tests {
     #[test]
     fn batch_reuse_keeps_results_in_request_order() {
         let mut svc = svc(3, 8, 6);
-        let mut out = Vec::new();
+        let mut out = vec![Ok(Response::Written)];
+        // An empty batch answers nothing and leaves no stale result.
+        svc.submit_batch_into(&[], &mut out);
+        assert!(out.is_empty());
         for round in 0..10u64 {
             let reqs: Vec<Request> = (0..24u64)
                 .map(|a| Request::Write {
